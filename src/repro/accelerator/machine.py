@@ -165,8 +165,9 @@ class LoopAccelerator:
             raise AcceleratorFault(reason)
         loop = image.loop
         trips = loop.trip_count if trip_count is None else trip_count
+        live_ins = set(loop.live_ins)
         scalar_ins = sum(1 for reg in image.registers.mapping
-                         if reg in set(loop.live_ins))
+                         if reg in live_ins)
         kernel = image.schedule.kernel_cycles(trips, image.dfg)
         overhead = (2 * self.config.bus_latency + scalar_ins
                     + len(loop.live_outs))

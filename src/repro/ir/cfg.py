@@ -219,7 +219,10 @@ def linear_program(name: str, kernels: list[Loop],
     for i, kernel in enumerate(kernels):
         label = f"kernel_{kernel.name}"
         next_label = f"glue{i}" if i + 1 < n else "exit"
-        block = BasicBlock(label, ops=[op.copy() for op in kernel.body],
+        # The block shares the kernel's op objects: ops are never
+        # mutated once in a loop body, and identification hands back
+        # ``loop_body`` itself, so private copies would never be read.
+        block = BasicBlock(label, ops=list(kernel.body),
                            successors=[label, next_label],
                            loop_body=kernel)
         blocks[-1].successors = [label]

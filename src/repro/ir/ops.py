@@ -122,12 +122,21 @@ class Operation:
         return reg in self.dests
 
     def copy(self, **changes) -> "Operation":
-        """Return a shallow copy with *changes* applied."""
-        new = replace(self, **changes)
-        new.dests = list(new.dests)
-        new.srcs = list(new.srcs)
-        new.inner = list(new.inner)
-        return new
+        """Return a shallow copy with *changes* applied.
+
+        The copy's operand lists are fresh, so editing them leaves the
+        original untouched.  A plain copy skips ``dataclasses.replace``,
+        which costs more than the copy itself on this hot path.
+        """
+        if changes:
+            new = replace(self, **changes)
+            new.dests = list(new.dests)
+            new.srcs = list(new.srcs)
+            new.inner = list(new.inner)
+            return new
+        return Operation(self.opid, self.opcode, list(self.dests),
+                         list(self.srcs), self.predicate, list(self.inner),
+                         self.stream_id, self.comment)
 
     def __str__(self) -> str:
         dest = ", ".join(str(d) for d in self.dests)

@@ -14,7 +14,7 @@ ids, array shapes/aliasing, trip counts, annotations) is included.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import Any, Optional
 
 from repro.ir.loop import ArrayDecl, Loop
 from repro.ir.opcodes import LatencyModel
@@ -24,7 +24,12 @@ from repro.ir.ops import Imm, Operation, Reg
 #: stale on-disk cache can never resurface under a new code version.
 DIGEST_VERSION = "veal-perf-2"
 
-_LOOP_DIGEST_ATTR = "_veal_loop_digest"
+_MEMO_ATTR = "_veal_memo"
+
+#: Bound on :func:`options_digest`'s memo; a sweep uses a handful of
+#: option sets, so overflowing it just starts the memo afresh.
+_OPTIONS_MEMO_LIMIT = 64
+_options_digests: dict[str, str] = {}
 
 
 def _canon(value: Any) -> Any:
@@ -70,34 +75,69 @@ def digest_of(*parts: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def loop_digest(loop: Loop) -> str:
-    """Content digest of a loop, memoised on the instance.
+class LoopMemo:
+    """The facts a translation-cache lookup derives from one loop object.
 
     Loops are treated as immutable once built (every transform goes
     through :meth:`Loop.rebuild` / :meth:`Operation.copy`, which create
-    fresh objects), so caching the digest on the object is safe; the
-    attribute is excluded from pickling.
+    fresh objects), so a fact computed from a loop stays true for the
+    object's lifetime and can live on it.  One record per loop, stored
+    as ``loop._veal_memo`` and dropped by ``Loop.__getstate__``:
+
+    * ``digest``: the loop's content digest (:func:`loop_digest`);
+    * ``demand``: per latency model, the loop's resource demand and
+      serial-II bound (filled by the translator's schedule projection);
+    * ``core_keys``: per (config, options) rendering, the translation
+      cache keys of that input (filled by the translator).
     """
-    cached = loop.__dict__.get(_LOOP_DIGEST_ATTR)
-    if cached is not None:
-        return cached
-    value = digest_of(
-        "loop", loop.name,
-        tuple(loop.body), tuple(loop.live_ins), tuple(loop.live_outs),
-        tuple(loop.arrays), loop.trip_count, loop.invocations,
-        loop.annotations,
-    )
-    loop.__dict__[_LOOP_DIGEST_ATTR] = value
-    return value
+
+    __slots__ = ("digest", "demand", "core_keys")
+
+    def __init__(self) -> None:
+        self.digest: Optional[str] = None
+        self.demand: dict = {}
+        self.core_keys: dict = {}
+
+
+def loop_memo(loop: Loop) -> LoopMemo:
+    """The memo record of *loop*, created empty on first use."""
+    memo = loop.__dict__.get(_MEMO_ATTR)
+    if memo is None:
+        memo = loop.__dict__[_MEMO_ATTR] = LoopMemo()
+    return memo
+
+
+def loop_digest(loop: Loop) -> str:
+    """Content digest of a loop, memoised on the instance."""
+    memo = loop_memo(loop)
+    if memo.digest is None:
+        memo.digest = digest_of(
+            "loop", loop.name,
+            tuple(loop.body), tuple(loop.live_ins), tuple(loop.live_outs),
+            tuple(loop.arrays), loop.trip_count, loop.invocations,
+            loop.annotations,
+        )
+    return memo.digest
 
 
 def options_digest(options) -> str:
-    """Digest of a :class:`~repro.vm.translator.TranslationOptions`."""
-    return digest_of(
-        "options", options.use_static_cca, options.use_static_priority,
-        options.use_static_mii, options.priority_kind,
-        options.latency_model, options.work_budget,
-    )
+    """Digest of a :class:`~repro.vm.translator.TranslationOptions`.
+
+    Memoised on ``repr(options)``, which renders every field the digest
+    reads with its exact value and type, so two option sets the digest
+    tells apart never share a memo entry.
+    """
+    rendering = repr(options)
+    value = _options_digests.get(rendering)
+    if value is None:
+        if len(_options_digests) >= _OPTIONS_MEMO_LIMIT:
+            _options_digests.clear()
+        value = _options_digests[rendering] = digest_of(
+            "options", options.use_static_cca, options.use_static_priority,
+            options.use_static_mii, options.priority_kind,
+            options.latency_model, options.work_budget,
+        )
+    return value
 
 
 def cpu_key(config, latency_model: LatencyModel) -> tuple:

@@ -434,20 +434,35 @@ def saturation_probe(drivers: int = 4, queue_depth: int = 8) -> dict:
                                                attempt_timeout_s=120.0))
         landing: dict = {}
 
-        def retry_shed() -> None:
+        def retry_shed(work) -> None:
             try:
                 landing["result"] = retrier.translate(
-                    shed_work[0], shed_work[1], shed_work[2],
-                    deadline_s=600.0)
+                    work[0], work[1], work[2], deadline_s=600.0)
             except Exception as exc:  # noqa: BLE001 — evidence, not control
                 landing["error"] = f"{type(exc).__name__}: {exc}"
 
-        retry_thread = threading.Thread(target=retry_shed, daemon=True)
-        retry_thread.start()
+        # Each start waits for the backlog to stand.  A start that still
+        # slips into a momentary drain is admitted outright — no retry
+        # to observe — so the next uncached variant starts again.
         hold_until = time.monotonic() + 15.0
-        while (time.monotonic() < hold_until
-               and retrier.stats.admission_retries < 1):
-            time.sleep(0.005)
+        while True:
+            while (backlog.qsize() < threshold
+                   and time.monotonic() < hold_until):
+                time.sleep(0.002)
+            landing.clear()
+            retry_thread = threading.Thread(target=retry_shed,
+                                            args=(shed_work,), daemon=True)
+            retry_thread.start()
+            while (retry_thread.is_alive()
+                   and time.monotonic() < hold_until
+                   and retrier.stats.admission_retries < 1):
+                time.sleep(0.005)
+            if retrier.stats.admission_retries >= 1 or \
+                    time.monotonic() >= hold_until:
+                break
+            retry_thread.join(timeout=300.0)
+            shed_work = shed_variants[variant % len(shed_variants)]
+            variant += 1
         stop.set()
         retry_thread.join(timeout=300.0)
         # "Landed" means the request completed through the saturated

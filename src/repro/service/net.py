@@ -240,7 +240,10 @@ class NetServer:
             self._conn_tasks.discard(task)
             obs.inc("net.connections.closed")
             obs.set_gauge("net.connections.active", len(self._active))
-            with contextlib.suppress(Exception):
+            # A stop() may cancel this task while it waits here; the
+            # connection is closing either way, so the task must still
+            # end normally (asyncio logs a cancelled handler task).
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
 

@@ -25,8 +25,9 @@ strings.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro import obs
 from repro.accelerator.config import LAConfig
@@ -438,16 +439,14 @@ def _clamp(available: int, demand: int) -> int:
     return min(available, max(demand, 1))
 
 
-def _schedule_projection(loop: Loop, config: LAConfig,
-                         options: TranslationOptions
-                         ) -> tuple[LAConfig, int]:
-    """The schedule-relevant canonical form of *config* for *loop*.
+def _count_demand(loop: Loop, lat: LatencyModel) -> tuple[int, ...]:
+    """One walk of *loop*'s body (CCA inner ops included).
 
-    Returns ``(projected config, ii_bound)`` where ``ii_bound`` is the
-    loop's own upper bound on any achievable II — the max-II value that
-    behaves as unbounded for this loop.
+    Returns ``(int ops, fp ops, loads, stores, ii_bound)``.  No schedule
+    of this body can need an II beyond a fully serial one; MII is
+    likewise bounded by it (ResMII by the op count, RecMII by the
+    latency sum), so ``ii_bound`` is a max II that behaves as unbounded.
     """
-    lat = options.latency_model
     counts: dict[str, int] = {}
     latency_sum = 0
     stack = list(loop.body)
@@ -457,18 +456,37 @@ def _schedule_projection(loop: Loop, config: LAConfig,
         counts[rc] = counts.get(rc, 0) + 1
         latency_sum += max(int(lat.latency(op.opcode)), 1)
         stack.extend(op.inner)
-    loads = counts.get(LOAD_GEN, 0)
-    stores = counts.get(STORE_GEN, 0)
-    # No schedule of this body can need an II beyond a fully serial
-    # one; MII is likewise bounded by it (ResMII by the op count,
-    # RecMII by the latency sum), so clamping max_ii here can only
-    # convert "success/failure at the true bound" into the identical
-    # outcome — except II exhaustion, which _cached_core re-derives.
-    ii_bound = latency_sum + len(loop.body) + 8
+    return (counts.get(INT_UNIT, 0), counts.get(FP_UNIT, 0),
+            counts.get(LOAD_GEN, 0), counts.get(STORE_GEN, 0),
+            latency_sum + len(loop.body) + 8)
+
+
+def _schedule_projection(loop: Loop, config: LAConfig,
+                         options: TranslationOptions
+                         ) -> tuple[LAConfig, int]:
+    """The schedule-relevant canonical form of *config* for *loop*.
+
+    Returns ``(projected config, ii_bound)`` where ``ii_bound`` is the
+    loop's own upper bound on any achievable II — the max-II value that
+    behaves as unbounded for this loop.  The body walk is memoised per
+    latency model on the loop; it reads latencies only through
+    ``int()``, so overrides that compare equal share an entry.
+    """
+    from repro.perf.digest import loop_memo
+    demand = loop_memo(loop).demand
+    lat = options.latency_model
+    lat_key = tuple(lat.overrides.items())
+    facts = demand.get(lat_key)
+    if facts is None:
+        facts = demand[lat_key] = _count_demand(loop, lat)
+    ints, fps, loads, stores, ii_bound = facts
+    # Clamping max_ii to ii_bound can only convert "success/failure at
+    # the true bound" into the identical outcome — except II
+    # exhaustion, which _cached_core re-derives.
     projected = config.with_(
         name="core",
-        num_int_units=_clamp(config.num_int_units, counts.get(INT_UNIT, 0)),
-        num_fp_units=_clamp(config.num_fp_units, counts.get(FP_UNIT, 0)),
+        num_int_units=_clamp(config.num_int_units, ints),
+        num_fp_units=_clamp(config.num_fp_units, fps),
         num_ccas=min(config.num_ccas, len(loop.body)),
         num_int_regs=0,
         num_fp_regs=0,
@@ -481,6 +499,56 @@ def _schedule_projection(loop: Loop, config: LAConfig,
         code_cache_entries=0,
     )
     return projected, ii_bound
+
+
+class _CoreKeys(NamedTuple):
+    """The translation-cache keys of one (loop, config, options) input.
+
+    ``key`` is the clamped projection's.  At most one alias exists,
+    since the projected max II is ``min(config.max_ii, ii_bound)``:
+    ``canon`` (the full-II-bound config, when the caller's max II is
+    below the loop's bound, so the projection kept it as is) or
+    ``exact`` (the caller's own max II, when it is above the bound;
+    used after II exhaustion).
+    """
+
+    key: str
+    canon: Optional[str]
+    exact: Optional[str]
+
+
+def _core_keys(loop: Loop, config: LAConfig,
+               options: TranslationOptions) -> _CoreKeys:
+    """The cache keys of this input, memoised on the loop.
+
+    The memo is keyed on ``repr`` of the config and the options: the
+    config digest *is* its repr, and ``repr`` keeps ``16`` and
+    ``16.0`` (or ``0.0`` and ``-0.0``) apart where ``==`` would not,
+    so two inputs the digests tell apart never share an entry.  The
+    renderings are interned: every loop of a sweep point shares them.
+    """
+    from repro.perf.digest import (digest_of, loop_digest, loop_memo,
+                                   options_digest)
+    memo = loop_memo(loop).core_keys
+    ident = (sys.intern(repr(config)), sys.intern(repr(options)))
+    keys = memo.get(ident)
+    if keys is not None:
+        return keys
+    opts_key = options_digest(options)
+    core_config, ii_bound = _schedule_projection(loop, config, options)
+    loop_key = loop_digest(loop)
+
+    def key_of(max_ii) -> str:
+        return digest_of("core", loop_key, core_config.with_(max_ii=max_ii),
+                         opts_key)
+
+    keys = memo[ident] = _CoreKeys(
+        digest_of("core", loop_key, core_config, opts_key),
+        canon=(key_of(ii_bound) if core_config.max_ii < ii_bound
+               else None),
+        exact=(key_of(config.max_ii) if core_config.max_ii < config.max_ii
+               else None))
+    return keys
 
 
 def _translate_core(loop: Loop, core_config: LAConfig,
@@ -521,13 +589,10 @@ def _cached_core(loop: Loop, config: LAConfig,
                  options: TranslationOptions):
     """Look up (or compute and store) the core entry for this input."""
     from repro import perf
-    from repro.perf.digest import digest_of, loop_digest, options_digest
 
     cache = perf.translation_cache()
-    opts_key = options_digest(options)
-    core_config, ii_bound = _schedule_projection(loop, config, options)
-    key = digest_of("core", loop_digest(loop), core_config, opts_key)
-    entry = cache.get(key)
+    keys = _core_keys(loop, config, options)
+    entry = cache.get(keys.key)
     # Max-II sweep points share one schedule: the candidate-II search
     # tries MII upward and stops at the first feasible II*, so a success
     # under the loop's full II bound with II* within this point's bound
@@ -535,40 +600,36 @@ def _cached_core(loop: Loop, config: LAConfig,
     # tried, same charges, same schedule) — and vice versa.  Alias the
     # two keys instead of recomputing; failures are never aliased (a
     # budget abort or II exhaustion depends on where the search stops).
-    canon_key = None
-    if core_config.max_ii < ii_bound:
-        canon_key = digest_of("core", loop_digest(loop),
-                              core_config.with_(max_ii=ii_bound), opts_key)
-        if entry is None:
-            canon = cache.peek(canon_key)
-            if canon is not None and canon.image is not None and \
-                    canon.image.schedule.ii <= core_config.max_ii:
-                entry = canon
-                cache.put(key, entry)
-                # A core run was avoided: reclassify the recorded miss.
-                cache.stats.misses -= 1
-                cache.stats.hits += 1
+    if keys.canon is not None and entry is None:
+        canon = cache.peek(keys.canon)
+        if canon is not None and canon.image is not None and \
+                canon.image.schedule.ii <= config.max_ii:
+            entry = canon
+            cache.put(keys.key, entry)
+            # A core run was avoided: reclassify the recorded miss.
+            cache.stats.misses -= 1
+            cache.stats.hits += 1
     if entry is None:
+        core_config, _ = _schedule_projection(loop, config, options)
         entry = _translate_core(loop, core_config, options)
-        cache.put(key, entry)
-        if canon_key is not None and entry.image is not None:
-            cache.put(canon_key, entry)
-    if entry.ii_exhausted and core_config.max_ii < config.max_ii:
+        cache.put(keys.key, entry)
+        if keys.canon is not None and entry.image is not None:
+            cache.put(keys.canon, entry)
+    if entry.ii_exhausted and keys.exact is not None:
         # Exhausting the clamped II window proves nothing about the
         # true control-store depth; re-derive at the exact max II.
         cache.stats.exact_fallbacks += 1
-        exact_config = core_config.with_(max_ii=config.max_ii)
-        exact_key = digest_of("core", loop_digest(loop), exact_config,
-                              opts_key)
-        entry = cache.get(exact_key)
+        entry = cache.get(keys.exact)
         if entry is None:
-            entry = _translate_core(loop, exact_config, options)
-            cache.put(exact_key, entry)
+            core_config, _ = _schedule_projection(loop, config, options)
+            entry = _translate_core(
+                loop, core_config.with_(max_ii=config.max_ii), options)
+            cache.put(keys.exact, entry)
     if entry.image is not None and \
             getattr(entry.image, "digest", None) is None:
         # Stamp the content-addressed cache key onto the image so the
         # specialization tier can key its compiled-function cache on it.
-        entry.image = replace(entry.image, digest=key)
+        entry.image = replace(entry.image, digest=keys.key)
     return entry
 
 
@@ -610,10 +671,7 @@ def translation_key(loop: Loop, config: LAConfig,
                     options: TranslationOptions = TranslationOptions()
                     ) -> str:
     """The cache key ``translate_loop`` would use for this input."""
-    from repro.perf.digest import digest_of, loop_digest, options_digest
-    core_config, _ = _schedule_projection(loop, config, options)
-    return digest_of("core", loop_digest(loop), core_config,
-                     options_digest(options))
+    return _core_keys(loop, config, options).key
 
 
 def invalidate_translation(loop: Loop, config: LAConfig,
@@ -621,26 +679,16 @@ def invalidate_translation(loop: Loop, config: LAConfig,
                            ) -> bool:
     """Drop this input's cached translation (deoptimisation support).
 
-    The entry may be reachable under up to three keys — the clamped
-    projection, the canonical full-II-bound alias, and the exact-max-II
-    fallback — and a deoptimised image must not survive under any of
+    The entry may be reachable under the clamped projection's key and
+    one alias — the canonical full-II-bound key or the exact-max-II
+    fallback's — and a deoptimised image must not survive under any of
     them.
     """
     from repro import perf
-    from repro.perf.digest import digest_of, loop_digest, options_digest
 
     cache = perf.translation_cache()
-    opts_key = options_digest(options)
-    core_config, ii_bound = _schedule_projection(loop, config, options)
-    keys = {digest_of("core", loop_digest(loop), core_config, opts_key)}
-    if core_config.max_ii != ii_bound:
-        keys.add(digest_of("core", loop_digest(loop),
-                           core_config.with_(max_ii=ii_bound), opts_key))
-    if core_config.max_ii != config.max_ii:
-        keys.add(digest_of("core", loop_digest(loop),
-                           core_config.with_(max_ii=config.max_ii),
-                           opts_key))
-    dropped = [cache.invalidate(k) for k in keys]
+    keys = _core_keys(loop, config, options)
+    dropped = [cache.invalidate(k) for k in keys if k is not None]
     return any(dropped)
 
 

@@ -274,3 +274,60 @@ def test_concurrent_hellos_share_one_session():
         for thread in threads:
             thread.join()
         assert len({id(session) for session in seen}) == 1
+
+
+def test_stop_with_idle_connection_logs_nothing():
+    server = _server().start()
+    recorded = []
+    server._loop.set_exception_handler(
+        lambda loop, context: recorded.append(context))
+    client = LoopClient(server.host, server.port, session="idle")
+    try:
+        assert client.ping()  # the connection now sits idle, open
+        raw = socket.create_connection((server.host, server.port))
+        try:
+            server.stop()
+        finally:
+            raw.close()
+    finally:
+        client.close()
+    assert recorded == []
+    assert server.active_connections() == 0
+
+
+def test_connection_cancelled_while_closing_ends_normally():
+    """A stop() that lands while the handler awaits ``wait_closed`` must
+    not leave a cancelled handler task (asyncio logs those)."""
+    import asyncio
+
+    server = _server()
+
+    class StuckWriter:
+        def __init__(self) -> None:
+            self.closing = asyncio.Event()
+
+        def close(self) -> None:
+            self.closing.set()
+
+        async def wait_closed(self) -> None:
+            await asyncio.Event().wait()
+
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_eof()  # the client hung up: the handler closes
+        writer = StuckWriter()
+        task = asyncio.create_task(server._accept(reader, writer))
+        await writer.closing.wait()
+        task.cancel()
+        await asyncio.wait([task])
+        return task
+
+    # A private loop: asyncio.run() would unset this thread's current
+    # loop, which later tests of the wire layer still rely on.
+    loop = asyncio.new_event_loop()
+    try:
+        task = loop.run_until_complete(scenario())
+    finally:
+        loop.close()
+    assert not task.cancelled()
+    assert task.exception() is None
